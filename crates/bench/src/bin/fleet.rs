@@ -57,13 +57,14 @@ fn main() -> ExitCode {
     );
     for r in &report.rows {
         println!(
-            "{:>6} {:>9} {:>7} {:>11.1} {:>13.1} {:>8.2} {:>9} {:>7}",
+            "{:>6} {:>9} {:>7} {:>11.1} {:>13.1} {:>8} {:>9} {:>7}",
             r.walls,
             r.capsules,
             r.rounds,
             r.serial_ms,
             r.parallel_ms,
-            r.speedup,
+            r.speedup
+                .map_or_else(|| "-".to_string(), |s| format!("{s:.2}")),
             r.parallel_identical,
             r.resume_identical,
         );

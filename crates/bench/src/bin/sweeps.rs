@@ -56,12 +56,13 @@ fn main() -> ExitCode {
     );
     for r in &results {
         println!(
-            "{:>14} {:>6} {:>12.1} {:>12.1} {:>7.2}x {:>10}",
+            "{:>14} {:>6} {:>12.1} {:>12.1} {:>8} {:>10}",
             r.name,
             r.tasks,
             r.serial_wall_ms,
             r.parallel_wall_ms,
-            r.speedup(),
+            r.speedup()
+                .map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
             r.bit_identical(),
         );
         for (stage, ms) in &r.stage_cpu_ms {

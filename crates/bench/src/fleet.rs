@@ -97,8 +97,9 @@ pub struct FleetRow {
     pub serial_ms: f64,
     /// Parallel wall-clock (ms).
     pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
+    /// `serial_ms / parallel_ms`; `None` on a one-worker pool, where
+    /// the ratio is only noise.
+    pub speedup: Option<f64>,
     /// The serial run's fleet digest.
     pub digest: u64,
     /// Parallel digest equals the serial digest.
@@ -164,7 +165,7 @@ pub fn run_fleet_bench(scale: &FleetScale, pool: &Pool) -> EcoResult<FleetBenchR
             rounds: serial.rounds,
             serial_ms,
             parallel_ms,
-            speedup: serial_ms / parallel_ms.max(1e-9),
+            speedup: (pool.workers() > 1).then(|| serial_ms / parallel_ms.max(1e-9)),
             digest: serial.digest(),
             parallel_identical: parallel.digest() == serial.digest(),
             resume_identical: resume_digest == serial.digest(),
@@ -221,7 +222,9 @@ pub fn to_json(report: &FleetBenchReport, pool: &Pool, scale: &FleetScale) -> St
         out.push_str(&format!("      \"rounds\": {},\n", r.rounds));
         out.push_str(&format!("      \"serial_ms\": {:.3},\n", r.serial_ms));
         out.push_str(&format!("      \"parallel_ms\": {:.3},\n", r.parallel_ms));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", r.speedup));
+        if let Some(speedup) = r.speedup {
+            out.push_str(&format!("      \"speedup\": {speedup:.3},\n"));
+        }
         out.push_str(&format!("      \"digest\": \"{:#018x}\",\n", r.digest));
         out.push_str(&format!(
             "      \"parallel_identical\": {},\n",

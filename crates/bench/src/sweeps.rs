@@ -101,6 +101,8 @@ pub struct WorkloadResult {
     pub serial_wall_ms: f64,
     /// Wall-clock of the parallel pass (ms).
     pub parallel_wall_ms: f64,
+    /// Worker count of the parallel pass's pool.
+    pub parallel_workers: usize,
     /// FNV-1a checksum of the serial pass output.
     pub checksum_serial: u64,
     /// FNV-1a checksum of the parallel pass output.
@@ -110,14 +112,12 @@ pub struct WorkloadResult {
 }
 
 impl WorkloadResult {
-    /// Serial wall-clock divided by parallel wall-clock.
+    /// Serial wall-clock divided by parallel wall-clock; `None` when the
+    /// parallel pass ran on one worker, where the ratio is only noise.
     #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_wall_ms > 0.0 {
-            self.serial_wall_ms / self.parallel_wall_ms
-        } else {
-            1.0
-        }
+    pub fn speedup(&self) -> Option<f64> {
+        (self.parallel_workers > 1 && self.parallel_wall_ms > 0.0)
+            .then(|| self.serial_wall_ms / self.parallel_wall_ms)
     }
 
     /// Whether both passes produced exactly the same bytes.
@@ -177,6 +177,7 @@ where
         tasks: cells.len(),
         serial_wall_ms,
         parallel_wall_ms,
+        parallel_workers: pool.workers(),
         checksum_serial,
         checksum_parallel,
         stage_cpu_ms,
@@ -390,7 +391,9 @@ pub fn to_json(results: &[WorkloadResult], pool: &Pool, scale: &Scale) -> String
             "      \"parallel_wall_ms\": {:.3},\n",
             r.parallel_wall_ms
         ));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", r.speedup()));
+        if let Some(speedup) = r.speedup() {
+            out.push_str(&format!("      \"speedup\": {speedup:.3},\n"));
+        }
         out.push_str(&format!(
             "      \"bit_identical\": {},\n",
             r.bit_identical()

@@ -3,10 +3,11 @@
 //!
 //! A survey spends almost all of its wall time in four per-capsule
 //! stages: uplink waveform synthesis (two `sin` calls per sample),
-//! carrier estimation + digital downconversion (an FFT and two more
-//! trig calls per sample), the matched-filter FM0 preamble search (an
-//! `O(n·m)` sliding dot product — ~2×10⁸ multiply-adds per read at the
-//! paper's 1 kbps / 1 MS/s operating point), and harvester integration.
+//! carrier estimation + digital downconversion (a folded power-of-two
+//! FFT, a few Goertzel bins, and two more trig calls per sample), the
+//! matched-filter FM0 preamble search (an `O(n·m)` sliding dot product
+//! — ~2×10⁸ multiply-adds per read at the paper's 1 kbps / 1 MS/s
+//! operating point), and harvester integration.
 //! This module restructures those loops so the work that is *identical
 //! across capsules, slots and retries* is computed once and shared as
 //! contiguous `f64` lanes:

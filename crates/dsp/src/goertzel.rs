@@ -19,8 +19,11 @@ pub struct Goertzel {
 }
 
 impl Goertzel {
-    /// Creates a filter for the bin nearest `target_hz`.
+    /// Creates a filter tuned to `target_hz` exactly.
     ///
+    /// The frequency is not snapped to a DFT bin: after `n` samples,
+    /// [`Self::dft_value`] is the capture's DTFT at `target_hz`, which is
+    /// the length-`n` DFT bin `k` when `target_hz = k·fs/n`.
     /// `fs_hz` must be positive and `target_hz` must lie in `[0, fs/2]`.
     pub fn new(target_hz: f64, fs_hz: f64) -> Self {
         assert!(fs_hz > 0.0, "sample rate must be positive");

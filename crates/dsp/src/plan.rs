@@ -153,11 +153,10 @@ pub struct CacheStats {
 ///
 /// Both depend only on the transform length and direction — not on the
 /// signal — yet the seed fallback rebuilt the ~`n` `cis` evaluations
-/// *and* re-ran one of its three `m`-point FFTs on every call. For the
-/// reader's ~44 k-sample captures that one kernel FFT is a 131072-point
-/// transform per carrier estimate, the single largest line item in the
-/// decode hot path. Obtain plans through [`bluestein_for`]; the cached
-/// tables are bit-identical to freshly built ones.
+/// *and* re-ran one of its three `m`-point FFTs on every call. For a
+/// ~44 k-sample capture that one kernel FFT is a 131072-point
+/// transform. Obtain plans through [`bluestein_for`]; the cached tables
+/// are bit-identical to freshly built ones.
 #[derive(Debug)]
 pub struct BluesteinPlan {
     n: usize,
@@ -239,10 +238,10 @@ struct BluesteinCache {
 }
 
 /// Distinct `(length, direction)` Bluestein plans kept resident. Each
-/// entry holds `n + m` complex values (~2.8 MB at the reader's capture
-/// sizes); capture lengths are fixed by frame geometry so a handful of
-/// entries serves every survey. Beyond the cap plans are built fresh
-/// and not inserted.
+/// entry holds `n + m` complex values (~2.8 MB at capture-sized
+/// lengths); spectrum lengths are fixed by experiment geometry so a
+/// handful of entries serves every run. Beyond the cap plans are built
+/// fresh and not inserted.
 const BLUESTEIN_CAP: usize = 16;
 
 struct WindowCache {
