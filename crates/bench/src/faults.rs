@@ -10,8 +10,8 @@
 //! survey RNG under both policies, so the per-intensity recovery rows
 //! measure exactly what the retry layer buys and nothing else.
 //!
-//! Two invariants are enforced by [`run_matrix`] (and therefore by the
-//! CI smoke gate that runs the `faults` binary):
+//! Two invariants are checked by [`verify`] (and therefore by the CI
+//! smoke gate, `repro --only bench_faults`):
 //!
 //! - **Determinism** — every cell is executed twice, once on
 //!   [`Pool::serial`] and once on the given parallel pool; the FNV-1a
@@ -24,12 +24,11 @@
 //! The emitted `BENCH_faults.json` (schema `ecocapsule-bench-faults/1`)
 //! is committed at the repo root next to `BENCH_sweeps.json`.
 
-use crate::sweeps::fnv1a64;
 use dsp::{EcoError, EcoResult};
 use ecocapsule::prelude::*;
 use ecocapsule::scenario::CapsuleOutcome;
 use exec::Pool;
-use faults::FaultIntensity;
+use faults::{fnv1a64, FaultIntensity};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -298,27 +297,6 @@ pub fn run_matrix(scale: &FaultScale, pool: &Pool) -> EcoResult<FaultMatrix> {
         });
     }
     Ok(FaultMatrix { cells, recovery })
-}
-
-/// One representative faulted survey (the matrix's first moderate
-/// retry cell, serial) recorded as JSON lines, for `--trace`.
-#[must_use]
-pub fn trace_jsonl(scale: &FaultScale) -> EcoResult<String> {
-    let pair_seed = exec::seed::derive(MATRIX_SEED, 0);
-    let plan = FaultPlan::generate(
-        exec::seed::derive(pair_seed, 0),
-        &FaultIntensity::moderate(scale.horizon_slots),
-    );
-    let mut rng = StdRng::seed_from_u64(exec::seed::derive(pair_seed, 1));
-    let mut wall = SelfSensingWall::common_wall(scale.standoffs);
-    let mut rec = MemoryRecorder::new();
-    SurveyOptions::new()
-        .tx_voltage(DRIVE_V)
-        .fault_plan(&plan)
-        .retry_policy(RetryPolicy::paper_default())
-        .recorder(&mut rec)
-        .run(&mut wall, &mut rng)?;
-    Ok(rec.to_jsonl())
 }
 
 /// Checks the two matrix invariants: per-cell serial/parallel digest

@@ -21,19 +21,20 @@
 //!   lane-structured [`node::harvester::Harvester::simulate_store_lanes`].
 //!
 //! Every stage checksums the full numeric output of both passes
-//! (FNV-1a over the IEEE-754 bit patterns); [`run_all`] returns an error
-//! if any stage's batched output is not bit-identical to its scalar
-//! output, and CI runs the `--smoke` profile of the `hotpath` binary so
-//! the identity contract and the JSON schema cannot silently rot.
+//! (FNV-1a over the IEEE-754 bit patterns); [`verify`] (called by
+//! [`run_all`]) rejects any stage whose batched output is not
+//! bit-identical to its scalar output, and CI runs the smoke profile
+//! through `repro --only bench_hotpath` so the identity contract and
+//! the JSON schema cannot silently rot.
 //!
 //! The emitted `BENCH_hotpath.json` (schema `ecocapsule-bench-hotpath/1`)
 //! lives at the repo root next to `BENCH_sweeps.json`, one file per run,
 //! safe to diff across commits.
 
-use crate::sweeps::fnv1a64;
 use channel::uplink::{synthesize_uplink, synthesize_uplink_with, UplinkConfig};
 use dsp::batch::Engine;
 use dsp::{EcoError, EcoResult};
+use faults::fnv1a64;
 use node::harvester::Harvester;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -364,14 +365,25 @@ pub fn run_all(scale: &Scale) -> EcoResult<Vec<StageResult>> {
         decode_stage(scale),
         harvest_stage(scale),
     ];
-    for r in &results {
-        if !r.bit_identical() {
-            return Err(EcoError::Numerical {
-                what: "batched hot path diverged from scalar output",
-            });
-        }
-    }
+    verify(&results)?;
     Ok(results)
+}
+
+/// Checks the bench invariant: at least one stage ran, and every
+/// stage's batched output is bit-identical to its scalar output.
+#[must_use]
+pub fn verify(results: &[StageResult]) -> EcoResult<()> {
+    if results.is_empty() {
+        return Err(EcoError::Numerical {
+            what: "hot-path bench ran no stages",
+        });
+    }
+    if !results.iter().all(StageResult::bit_identical) {
+        return Err(EcoError::Numerical {
+            what: "batched hot path diverged from scalar output",
+        });
+    }
+    Ok(())
 }
 
 /// Renders results as `BENCH_hotpath.json` (schema

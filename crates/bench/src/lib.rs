@@ -1,34 +1,34 @@
 //! Benchmark harness regenerating the tables and figures of the paper.
 //!
-//! Three binaries live on top of this library:
+//! Two binaries live on top of this library:
 //!
 //! - `experiments` — the headline figures (link budget, BER curves,
 //!   localization, pilot study);
 //! - `ablations` — design-space sweeps over coding, geometry, and
-//!   materials;
-//! - `sweeps` — the serial-vs-parallel timed parameter grids behind
-//!   `BENCH_sweeps.json` (see [`sweeps`]);
-//! - `faults` — the fault-intensity × retry-policy matrix behind
-//!   `BENCH_faults.json` (see [`faults`]);
-//! - `obs` — recorded-survey trace summaries and the worker-count
-//!   trace-identity invariant behind `BENCH_obs.json` (see [`obs`]);
-//! - `fleet` — scheduler scaling vs. wall count and the fleet
-//!   digest-identity invariants behind `BENCH_fleet.json` (see
-//!   [`fleet`]);
-//! - `hotpath` — per-stage scalar-vs-batched ns/sample of the survey
-//!   inner loop behind `BENCH_hotpath.json` (see [`hotpath`]);
-//! - `campaign` — detection-latency/false-alarm curves over the
-//!   damage-scenario × seasonal-drift grid and the campaign
-//!   digest-identity invariants behind `BENCH_campaign.json` (see
-//!   [`campaign`]);
-//! - `serve` — live-daemon query throughput/latency under concurrent
-//!   readers, restart recovery time, and the serve digest-identity
-//!   invariants behind `BENCH_serve.json` (see [`serve`]).
+//!   materials.
 //!
-//! The library half is deliberately thin: the table printers the binaries
-//! share, plus the [`sweeps`] grid, [`faults`] matrix and [`obs`] trace
-//! definitions — kept in the library so the integration tests can assert
-//! bit-identical parallel execution without crossing a process boundary.
+//! The seven benches behind the committed `BENCH_*.json` files are
+//! library modules, each a `run` + `verify` + `to_json` triple driven by
+//! the repro harness (`cargo xtask repro --only bench_<name>`):
+//!
+//! - [`sweeps`] — serial-vs-parallel timed parameter grids;
+//! - [`faults`] — the fault-intensity × retry-policy matrix;
+//! - [`obs`] — recorded-survey trace summaries and the worker-count
+//!   trace-identity invariant;
+//! - [`fleet`] — scheduler scaling vs. wall count and the fleet
+//!   digest-identity invariants;
+//! - [`hotpath`] — per-stage scalar-vs-batched ns/sample of the survey
+//!   inner loop;
+//! - [`campaign`] — detection-latency/false-alarm curves over the
+//!   damage-scenario × seasonal-drift grid and the campaign
+//!   digest-identity invariants;
+//! - [`serve`] — live-daemon query throughput/latency under concurrent
+//!   readers, restart recovery time, and the serve digest-identity
+//!   invariants.
+//!
+//! Keeping them in the library lets the integration tests assert
+//! bit-identical parallel execution without crossing a process
+//! boundary.
 
 #![forbid(unsafe_code)]
 

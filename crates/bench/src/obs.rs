@@ -190,13 +190,6 @@ pub fn verify(report: &ObsReport) -> EcoResult<()> {
     Ok(())
 }
 
-/// The faulted scenario's serial trace as JSON lines, for `--trace`.
-#[must_use]
-pub fn trace_jsonl(scale: &ObsScale) -> EcoResult<String> {
-    let plan = FaultPlan::generate(OBS_SEED, &FaultIntensity::moderate(scale.horizon_slots));
-    Ok(record_survey(scale, Some(&plan), Pool::serial())?.to_jsonl())
-}
-
 /// Renders the report as `BENCH_obs.json` (schema
 /// `ecocapsule-bench-obs/1`). Hand-rolled, like the other bench
 /// emitters — the workspace is hermetic, so no serde.

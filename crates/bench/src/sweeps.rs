@@ -9,9 +9,9 @@
 //! reports wall-clock plus a per-stage CPU-time breakdown. Because every
 //! cell derives its RNG from [`exec::seed::derive`]`(grid_seed, index)`
 //! and results merge in cell order, the two checksums must agree exactly;
-//! [`run_all`] returns an error if they ever diverge, and CI runs the
-//! `--smoke` profile of the `sweeps` binary so the guarantee (and the
-//! JSON schema) cannot silently rot.
+//! [`verify`] (called by [`run_all`]) rejects any divergence, and CI
+//! runs the smoke profile through `repro --only bench_sweeps` so the
+//! guarantee (and the JSON schema) cannot silently rot.
 //!
 //! The emitted `BENCH_sweeps.json` (schema `ecocapsule-bench-sweeps/1`)
 //! is the repo's performance trajectory: one file per run at the repo
@@ -20,6 +20,7 @@
 use dsp::{EcoError, EcoResult};
 use ecocapsule::prelude::*;
 use exec::Pool;
+use faults::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -125,19 +126,6 @@ impl WorkloadResult {
     pub fn bit_identical(&self) -> bool {
         self.checksum_serial == self.checksum_parallel
     }
-}
-
-/// FNV-1a over a word stream; stable, order-sensitive, dependency-free.
-#[must_use]
-pub fn fnv1a64<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
 }
 
 /// Runs one grid twice (serial, then on `pool`) and assembles the result.
@@ -357,14 +345,25 @@ pub fn run_all(scale: &Scale, pool: &Pool) -> EcoResult<Vec<WorkloadResult>> {
         uplink_decode(scale, pool)?,
         ber_grid(scale, pool)?,
     ];
-    for r in &results {
-        if !r.bit_identical() {
-            return Err(EcoError::Numerical {
-                what: "parallel sweep diverged from serial output",
-            });
-        }
-    }
+    verify(&results)?;
     Ok(results)
+}
+
+/// Checks the bench invariant: at least one workload ran, and every
+/// workload's parallel output is bit-identical to its serial output.
+#[must_use]
+pub fn verify(results: &[WorkloadResult]) -> EcoResult<()> {
+    if results.is_empty() {
+        return Err(EcoError::Numerical {
+            what: "sweep bench ran no workloads",
+        });
+    }
+    if !results.iter().all(WorkloadResult::bit_identical) {
+        return Err(EcoError::Numerical {
+            what: "parallel sweep diverged from serial output",
+        });
+    }
+    Ok(())
 }
 
 /// Renders results as `BENCH_sweeps.json` (schema

@@ -24,13 +24,16 @@
 //! checksum                       u64   FNV-1a over every previous byte
 //! ```
 //!
-//! The trailing checksum makes hostile corruption *detectable*, not
-//! just survivable: any bit flip in the structure-state section (or
-//! anywhere else) fails the checksum before field decoding even runs,
-//! and every decoder underneath is bounds-checked so a forged checksum
-//! still cannot cause a panic — only an [`EcoError`].
+//! Words are written and bounds-checked by the shared
+//! [`faults::codec`]. The trailing checksum makes hostile corruption
+//! *detectable*, not just survivable: any bit flip in the
+//! structure-state section (or anywhere else) fails the checksum before
+//! field decoding even runs, and every decoder underneath is
+//! bounds-checked so a forged checksum still cannot cause a panic —
+//! only an [`EcoError`].
 
 use dsp::{EcoError, EcoResult};
+use faults::codec::{checked_body, put_checksum, put_str, put_u64, put_words, Dec};
 
 use crate::engine::{config_digest, Campaign, CampaignOptions, CampaignWallSpec};
 use crate::grade::{feature_from_tag, feature_tag, DetectionEvent, WallFeatures, WallGrader};
@@ -181,8 +184,7 @@ impl CampaignCheckpoint {
             put_u64(&mut out, feature_tag(detection.feature).unwrap_or(u64::MAX));
             put_u64(&mut out, detection.score.to_bits());
         }
-        let checksum = byte_checksum(&out);
-        put_u64(&mut out, checksum);
+        put_checksum(&mut out);
         out
     }
 
@@ -192,20 +194,7 @@ impl CampaignCheckpoint {
     /// bytes.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> EcoResult<CampaignCheckpoint> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(EcoError::Protocol {
-                what: "campaign checkpoint too short",
-            });
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(tail);
-        let stored = u64::from_le_bytes(buf);
-        if stored != byte_checksum(body) {
-            return Err(EcoError::Protocol {
-                what: "campaign checkpoint checksum mismatch",
-            });
-        }
+        let body = checked_body(bytes)?;
         let mut d = Dec::new(body);
         if d.take(MAGIC.len())? != MAGIC {
             return Err(EcoError::Protocol {
@@ -293,11 +282,7 @@ impl CampaignCheckpoint {
                 score,
             });
         }
-        if !d.is_empty() {
-            return Err(EcoError::Protocol {
-                what: "trailing bytes after campaign checkpoint",
-            });
-        }
+        d.finish()?;
         Ok(CampaignCheckpoint {
             config_digest,
             epochs_run,
@@ -305,101 +290,6 @@ impl CampaignCheckpoint {
             grader_words,
             records,
             detections,
-        })
-    }
-}
-
-/// FNV-1a over raw bytes (the fleet digest helper works on u64 words;
-/// the checksum must cover the exact byte stream).
-fn byte_checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_words(out: &mut Vec<u8>, words: &[u64]) {
-    put_u64(out, words.len() as u64);
-    for &w in words {
-        put_u64(out, w);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked little-endian decoder; every length it reads is
-/// capped by the remaining input, so hostile lengths cannot allocate or
-/// index past the buffer.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, at: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-
-    fn take(&mut self, n: usize) -> EcoResult<&'a [u8]> {
-        let end = self.at.checked_add(n).ok_or(EcoError::Protocol {
-            what: "campaign checkpoint length overflow",
-        })?;
-        if end > self.bytes.len() {
-            return Err(EcoError::Protocol {
-                what: "campaign checkpoint truncated",
-            });
-        }
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u64(&mut self) -> EcoResult<u64> {
-        let raw = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(raw);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// A length field, sanity-capped by the bytes actually remaining.
-    fn len(&mut self) -> EcoResult<usize> {
-        let v = self.u64()?;
-        let cap = (self.bytes.len() - self.at) as u64;
-        if v > cap {
-            return Err(EcoError::Protocol {
-                what: "campaign checkpoint length exceeds input",
-            });
-        }
-        Ok(v as usize)
-    }
-
-    fn words(&mut self) -> EcoResult<Vec<u64>> {
-        let n = self.len()?;
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(self.u64()?);
-        }
-        Ok(words)
-    }
-
-    fn string(&mut self) -> EcoResult<String> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| EcoError::Protocol {
-            what: "campaign checkpoint string not UTF-8",
         })
     }
 }
@@ -510,7 +400,7 @@ mod tests {
             let mut evil = bytes.clone();
             evil[at] ^= 0x40;
             let n = evil.len();
-            let sum = byte_checksum(&evil[..n - 8]).to_le_bytes();
+            let sum = faults::fnv1a64_bytes(&evil[..n - 8]).to_le_bytes();
             evil[n - 8..].copy_from_slice(&sum);
             let (specs, options) = specs_and_options();
             match CampaignCheckpoint::from_bytes(&evil) {

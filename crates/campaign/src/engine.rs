@@ -401,23 +401,6 @@ impl Campaign {
     }
 }
 
-/// Runs a whole campaign start to finish.
-///
-/// Deprecated in favour of the builder-family entry point
-/// [`CampaignOptions::run`]; this shim delegates there and stays
-/// digest-equivalent.
-#[deprecated(
-    since = "0.9.0",
-    note = "use CampaignOptions::run (e.g. options.run(specs))"
-)]
-#[must_use]
-pub fn run_campaign(
-    specs: Vec<CampaignWallSpec>,
-    options: CampaignOptions,
-) -> EcoResult<CampaignReport> {
-    options.run(specs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,15 +459,6 @@ mod tests {
             campaign.run_epoch().unwrap();
         }
         assert!(campaign.run_epoch().is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_campaign_shim_is_digest_equivalent() {
-        let via_shim = run_campaign(tiny_specs(), tiny_options()).unwrap();
-        let via_builder = tiny_options().run(tiny_specs()).unwrap();
-        assert_eq!(via_shim.digest(), via_builder.digest());
-        assert_eq!(via_shim.trace_jsonl(), via_builder.trace_jsonl());
     }
 
     #[test]

@@ -43,8 +43,6 @@ mod scenario;
 mod state;
 
 pub use checkpoint::CampaignCheckpoint;
-#[allow(deprecated)]
-pub use engine::run_campaign;
 pub use engine::{
     config_digest, evolve_seed, survey_seed, Campaign, CampaignOptions, CampaignWallSpec,
 };

@@ -58,8 +58,7 @@ pub mod scenario;
 /// Convenience re-exports of the types most applications touch.
 pub mod prelude {
     pub use crate::scenario::{
-        CapsuleOutcome, MonitoringCampaign, SelfSensingWall, SurveyOptions, SurveyReport,
-        WallCondition,
+        CapsuleOutcome, SelfSensingWall, SurveyOptions, SurveyReport, WallCondition,
     };
     pub use channel::linkbudget::LinkBudget;
     pub use concrete::{ConcreteGrade, Structure};

@@ -24,9 +24,7 @@ use reader::rx::{max_throughput_bps, snr_vs_bitrate_db};
 /// windows, so quiet-trace timestamps are worker-count independent.
 const QUIET_READ_SLOTS_PER_CAPSULE: u64 = 9;
 
-/// Everything that configures one survey pass, in one builder.
-///
-/// Replaces the old `survey` / `survey_with` / `survey_under` trio: one
+/// Everything that configures one survey pass, in one builder: one
 /// configuration object drives the single
 /// [`SelfSensingWall::run_survey`] engine.
 ///
@@ -554,9 +552,7 @@ impl SelfSensingWall {
     /// With a fault plan installed, every phase consumes slots of the
     /// plan's timeline under the robust session layer
     /// ([`reader::robust`]); without one, the quiet waveform-level path
-    /// runs. Either way the engine is the single successor of the old
-    /// `survey` / `survey_with` / `survey_under` trio, and reproduces
-    /// their digests bit-for-bit for equivalent configurations.
+    /// runs.
     ///
     /// Determinism: exactly **one** value is drawn from `rng` and every
     /// phase derives its own child generator from it with
@@ -603,34 +599,6 @@ impl SelfSensingWall {
                 self.run_survey_faulted(tx_voltage_v, plan, &retry_policy, &pool, rec, rng)
             }
         }
-    }
-
-    /// One full survey at `tx_voltage` volts on a quiet channel.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SurveyOptions::new().tx_voltage(..)` with `run_survey` (or `.run(..)`)"
-    )]
-    #[must_use]
-    pub fn survey<R: Rng>(&mut self, tx_voltage_v: f64, rng: &mut R) -> EcoResult<SurveyReport> {
-        self.run_survey(SurveyOptions::new().tx_voltage(tx_voltage_v), rng)
-    }
-
-    /// Quiet survey on an explicit worker pool.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SurveyOptions::new().tx_voltage(..).pool(..)` with `run_survey`"
-    )]
-    #[must_use]
-    pub fn survey_with<R: Rng>(
-        &mut self,
-        tx_voltage_v: f64,
-        rng: &mut R,
-        pool: &Pool,
-    ) -> EcoResult<SurveyReport> {
-        self.run_survey(
-            SurveyOptions::new().tx_voltage(tx_voltage_v).pool(*pool),
-            rng,
-        )
     }
 
     /// The quiet-channel engine behind [`SelfSensingWall::run_survey`].
@@ -807,10 +775,11 @@ impl SelfSensingWall {
             .collect();
     }
 
-    /// [`SelfSensingWall::survey_with`] on a channel under a
-    /// [`FaultPlan`]: every phase consumes slots of the plan's timeline
-    /// and runs under whatever perturbation each slot carries, and
-    /// must-answer transactions retry per `policy`.
+    /// The faulted-channel engine behind [`SelfSensingWall::run_survey`]:
+    /// a survey on a channel under a [`FaultPlan`]. Every phase consumes
+    /// slots of the plan's timeline and runs under whatever perturbation
+    /// each slot carries, and must-answer transactions retry per
+    /// `policy`.
     ///
     /// Phase structure (see DESIGN.md §4 for the slot accounting):
     /// 1. **Charging** — one slot per capsule, in capsule order. A
@@ -832,35 +801,10 @@ impl SelfSensingWall {
     ///    change which perturbations any capsule sees: the report digest
     ///    is bit-identical for every worker count.
     ///
-    /// Determinism mirrors `survey_with`: one value drawn from `rng`,
-    /// child streams derived per phase/capsule.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SurveyOptions::new().fault_plan(..).retry_policy(..).pool(..)` with `run_survey`"
-    )]
-    #[must_use]
-    pub fn survey_under<R: Rng>(
-        &mut self,
-        tx_voltage_v: f64,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        rng: &mut R,
-        pool: &Pool,
-    ) -> EcoResult<SurveyReport> {
-        self.run_survey(
-            SurveyOptions::new()
-                .tx_voltage(tx_voltage_v)
-                .fault_plan(plan)
-                .retry_policy(*policy)
-                .pool(*pool),
-            rng,
-        )
-    }
-
-    /// The faulted-channel engine behind [`SelfSensingWall::run_survey`].
-    /// Slot-clock contract: event timestamps are the [`Timeline`] slot
-    /// index about to be consumed; phase 3 tasks get disjoint,
-    /// worst-case-sized timeline slices in capsule order.
+    /// Determinism mirrors the quiet engine: one value drawn from `rng`,
+    /// child streams derived per phase/capsule. Slot-clock contract:
+    /// event timestamps are the [`Timeline`] slot index about to be
+    /// consumed.
     fn run_survey_faulted<R: Rng>(
         &mut self,
         tx_voltage_v: f64,
@@ -1019,63 +963,6 @@ impl SelfSensingWall {
         rec.count("survey.readings", report.readings.len() as u64, end_slot);
         rec.span_close("survey", 0, end_slot);
         Ok(report)
-    }
-}
-
-/// A long-horizon monitoring campaign over a wall: periodic surveys
-/// accumulate per-capsule histories that the damage analyses and the
-/// report generator consume — the full EcoCapsule value chain of §6.
-#[derive(Debug, Clone, Default)]
-pub struct MonitoringCampaign {
-    /// Per-capsule `(time_s, strain)` histories.
-    pub strain: std::collections::BTreeMap<u32, Vec<(f64, f64)>>,
-    /// Per-capsule `(time_s, humidity %)` histories.
-    pub humidity: std::collections::BTreeMap<u32, Vec<(f64, f64)>>,
-}
-
-impl MonitoringCampaign {
-    /// Starts an empty campaign.
-    pub fn new() -> Self {
-        MonitoringCampaign::default()
-    }
-
-    /// Runs one survey at time `t_s` and folds the readings into the
-    /// histories.
-    #[must_use]
-    pub fn survey_at<R: Rng>(
-        &mut self,
-        wall: &mut SelfSensingWall,
-        t_s: f64,
-        tx_voltage_v: f64,
-        rng: &mut R,
-    ) -> EcoResult<SurveyReport> {
-        let report = wall.run_survey(SurveyOptions::new().tx_voltage(tx_voltage_v), rng)?;
-        for (id, kind, value) in &report.readings {
-            match kind {
-                SensorKind::Strain => {
-                    self.strain.entry(*id).or_default().push((t_s, *value));
-                }
-                SensorKind::Humidity => {
-                    self.humidity.entry(*id).or_default().push((t_s, *value));
-                }
-                _ => {}
-            }
-        }
-        Ok(report)
-    }
-
-    /// Composes the health report for one capsule from its histories.
-    pub fn report_for(&self, id: u32) -> shm::report::HealthReport {
-        let mut report = shm::report::HealthReport::new();
-        if let Some(h) = self.strain.get(&id) {
-            report = report.with_strain(shm::damage::strain_drift(h, 50.0));
-        }
-        if let Some(h) = self.humidity.get(&id) {
-            if let Some(risk) = shm::damage::corrosion_risk(h) {
-                report = report.with_corrosion(risk);
-            }
-        }
-        report
     }
 }
 
@@ -1398,47 +1285,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_run_survey_digests() {
-        let depths = [0.5, 1.0];
-        let run =
-            |f: &mut dyn FnMut(&mut SelfSensingWall, &mut StdRng) -> EcoResult<SurveyReport>| {
-                let mut rng = StdRng::seed_from_u64(5);
-                let mut wall = SelfSensingWall::common_wall(&depths);
-                f(&mut wall, &mut rng).unwrap().digest()
-            };
-
-        // survey(v) ≡ SurveyOptions::new().tx_voltage(v)
-        assert_eq!(
-            run(&mut |w, r| w.survey(150.0, r)),
-            run(&mut |w, r| SurveyOptions::new().tx_voltage(150.0).run(w, r)),
-        );
-        // survey_with(v, pool) ≡ ...pool(pool)
-        let pool = Pool::new(2);
-        assert_eq!(
-            run(&mut |w, r| w.survey_with(150.0, r, &pool)),
-            run(&mut |w, r| SurveyOptions::new().tx_voltage(150.0).pool(pool).run(w, r)),
-        );
-        // survey_under(v, plan, policy, pool) ≡ ...fault_plan(..).retry_policy(..).pool(..)
-        let plan = FaultPlan::generate(7, &faults::FaultIntensity::moderate(4000));
-        let policy = RetryPolicy::paper_default();
-        assert_eq!(
-            run(&mut |w, r| w.survey_under(150.0, &plan, &policy, r, &pool)),
-            run(&mut |w, r| SurveyOptions::new()
-                .tx_voltage(150.0)
-                .fault_plan(&plan)
-                .retry_policy(policy)
-                .pool(pool)
-                .run(w, r)),
-        );
-        // The default drive is 200 V, so default options ≡ survey(200.0).
-        assert_eq!(
-            run(&mut |w, r| w.survey(200.0, r)),
-            run(&mut |w, r| SurveyOptions::default().run(w, r)),
-        );
-    }
-
-    #[test]
     fn slot_demand_scales_with_capsules_and_fault_posture() {
         let quiet = SurveyOptions::new();
         assert!(
@@ -1682,32 +1528,6 @@ mod tests {
             hi - lo > 30.0,
             "switching must modulate the envelope: {hi}-{lo}"
         );
-    }
-
-    #[test]
-    fn monitoring_campaign_detects_a_developing_leak() {
-        use shm::report::Severity;
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut wall = SelfSensingWall::common_wall(&[0.6]);
-        let mut campaign = MonitoringCampaign::new();
-        // Monthly surveys over two years; the wall starts leaking at
-        // month 8 and the member creeps throughout. (Monthly keeps the
-        // waveform-level test fast; the analyses only need the trend.)
-        for month in 0..24u32 {
-            let t = month as f64 * 30.0 * 86_400.0;
-            wall.environment.strain = 120e-6 * t / shm::damage::YEAR_S;
-            wall.environment.humidity_percent = if month > 8 { 90.0 } else { 68.0 };
-            campaign.survey_at(&mut wall, t, 150.0, &mut rng).unwrap();
-        }
-        let report = campaign.report_for(1000);
-        assert!(
-            report.severity() >= Severity::Warning,
-            "campaign must flag the wall:\n{}",
-            report.render()
-        );
-        let text = report.render();
-        assert!(text.contains("strain drifting"), "{text}");
-        assert!(text.contains("corrosion"), "{text}");
     }
 
     #[test]

@@ -18,6 +18,18 @@ pub fn fnv1a64<I: IntoIterator<Item = u64>>(words: I) -> u64 {
     hash
 }
 
+/// FNV-1a over a raw byte stream — the trailing checksum of the
+/// ECOCAMPN/ECOSERVE checkpoints and the ECSV wire frames.
+#[must_use]
+pub fn fnv1a64_bytes<'a, I: IntoIterator<Item = &'a u8>>(bytes: I) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
 /// FNV-1a over a bit string, packed 64 bits per word (LSB first, with a
 /// trailing length word so `[true]` and `[true, false]` differ).
 #[must_use]
@@ -54,6 +66,17 @@ mod tests {
             fnv1a64([0x1234_5678_9ABC_DEF0]),
             fnv1a64([0x1234_5678_9ABC_DEF0])
         );
+    }
+
+    #[test]
+    fn byte_digest_matches_the_reference_vectors() {
+        // The published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64_bytes(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64_bytes(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a64_bytes(b"foobar"), 0x8594_4171_F739_67E8);
+        // A word digest is the byte digest of the little-endian words.
+        let w = 0x0123_4567_89AB_CDEFu64;
+        assert_eq!(fnv1a64([w]), fnv1a64_bytes(&w.to_le_bytes()));
     }
 
     #[test]

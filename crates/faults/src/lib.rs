@@ -26,16 +26,21 @@
 //!   channel/node hooks map onto noise sigma, leak amplitude, clock
 //!   error and power loss.
 //!
+//! The crate also owns the workspace's byte-level primitives: the
+//! canonical FNV-1a [`digest`] and the bounded little-endian [`codec`]
+//! every checkpoint and wire format is written in.
+//!
 //! See DESIGN.md §4 for the fault model and the recovery contract the
 //! reader layer builds on top.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod codec;
 pub mod digest;
 pub mod plan;
 
-pub use digest::fnv1a64;
+pub use digest::{fnv1a64, fnv1a64_bytes};
 pub use plan::{
     FaultIntensity, FaultKind, FaultPlan, FaultWindow, KindRate, Perturbation, Timeline,
 };

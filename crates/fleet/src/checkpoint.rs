@@ -29,10 +29,12 @@
 //!
 //! Strings are a byte length followed by the raw bytes. Floats travel as
 //! `f64::to_bits`, so a decode→re-encode round trip is byte-identical
-//! and a resumed run replays bit-for-bit.
+//! and a resumed run replays bit-for-bit. The words are written and
+//! bounds-checked by the shared [`faults::codec`].
 
 use dsp::{EcoError, EcoResult};
 use ecocapsule::scenario::{CapsuleOutcome, SurveyReport};
+use faults::codec::{put_str, put_u64, put_words, Dec};
 use obs::Histogram;
 use protocol::frame::SensorKind;
 
@@ -130,11 +132,7 @@ impl FleetCheckpoint {
                     put_u64(&mut out, r.histograms.len() as u64);
                     for (name, h) in &r.histograms {
                         put_str(&mut out, name);
-                        let words = h.encode_words();
-                        put_u64(&mut out, words.len() as u64);
-                        for w in words {
-                            put_u64(&mut out, w);
-                        }
+                        put_words(&mut out, &h.encode_words());
                     }
                     put_str(&mut out, &r.trace_jsonl);
                 }
@@ -158,7 +156,7 @@ impl FleetCheckpoint {
     /// [`EcoError::Protocol`].
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> EcoResult<FleetCheckpoint> {
-        let mut d = Dec { bytes, at: 0 };
+        let mut d = Dec::new(bytes);
         let magic = d.take(8)?;
         if magic != MAGIC {
             return Err(EcoError::Protocol {
@@ -185,7 +183,7 @@ impl FleetCheckpoint {
                     let name = d.string()?;
                     let round_completed = d.u64()?;
                     let granted_slots = d.u64()?;
-                    let report = d.report()?;
+                    let report = report(&mut d)?;
                     let mut counters = Vec::new();
                     for _ in 0..d.len()? {
                         let name = d.string()?;
@@ -194,12 +192,7 @@ impl FleetCheckpoint {
                     let mut histograms = Vec::new();
                     for _ in 0..d.len()? {
                         let name = d.string()?;
-                        let n_words = d.len()?;
-                        let mut words = Vec::with_capacity(n_words);
-                        for _ in 0..n_words {
-                            words.push(d.u64()?);
-                        }
-                        let h = Histogram::decode_words(&words).ok_or(EcoError::Protocol {
+                        let h = Histogram::decode_words(&d.words()?).ok_or(EcoError::Protocol {
                             what: "malformed histogram words in fleet checkpoint",
                         })?;
                         histograms.push((name, h));
@@ -223,34 +216,17 @@ impl FleetCheckpoint {
         }
         let mut queue = Vec::new();
         for _ in 0..d.len()? {
-            let i = d.len()?;
-            if i >= n_walls {
-                return Err(EcoError::Protocol {
-                    what: "queue index out of range in fleet checkpoint",
-                });
-            }
-            queue.push(i);
+            queue.push(wall_index(&mut d, n_walls)?);
         }
         let mut grants = Vec::new();
         for _ in 0..d.len()? {
-            let round = d.u64()?;
-            let wall = d.len()?;
-            if wall >= n_walls {
-                return Err(EcoError::Protocol {
-                    what: "grant wall index out of range in fleet checkpoint",
-                });
-            }
             grants.push(Grant {
-                round,
-                wall,
+                round: d.u64()?,
+                wall: wall_index(&mut d, n_walls)?,
                 slots: d.u64()?,
             });
         }
-        if d.at != bytes.len() {
-            return Err(EcoError::Protocol {
-                what: "trailing bytes after fleet checkpoint",
-            });
-        }
+        d.finish()?;
         Ok(FleetCheckpoint {
             config_digest,
             round,
@@ -261,13 +237,15 @@ impl FleetCheckpoint {
     }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// A wall index (queue entry or grant target), which must name one of
+/// the checkpoint's `n_walls` walls.
+fn wall_index(d: &mut Dec<'_>, n_walls: usize) -> EcoResult<usize> {
+    usize::try_from(d.u64()?)
+        .ok()
+        .filter(|&i| i < n_walls)
+        .ok_or(EcoError::Protocol {
+            what: "wall index out of range in fleet checkpoint",
+        })
 }
 
 fn put_report(out: &mut Vec<u8>, r: &SurveyReport) {
@@ -343,89 +321,31 @@ fn outcome_from_wire(tag: u64, payload: u64) -> Option<CapsuleOutcome> {
     })
 }
 
-/// Bounds-checked little-endian decoder over a byte slice.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Dec<'_> {
-    fn take(&mut self, n: usize) -> EcoResult<&[u8]> {
-        let end = self.at.checked_add(n).ok_or(EcoError::Protocol {
-            what: "fleet checkpoint length overflow",
+fn report(d: &mut Dec<'_>) -> EcoResult<SurveyReport> {
+    let mut report = SurveyReport::default();
+    for _ in 0..d.len()? {
+        report.powered_ids.push(d.u32()?);
+    }
+    for _ in 0..d.len()? {
+        report.inventoried_ids.push(d.u32()?);
+    }
+    for _ in 0..d.len()? {
+        let id = d.u32()?;
+        let kind = sensor_kind_from_tag(d.u64()?).ok_or(EcoError::Protocol {
+            what: "unknown sensor kind tag in fleet checkpoint",
         })?;
-        let slice = self.bytes.get(self.at..end).ok_or(EcoError::Protocol {
-            what: "fleet checkpoint truncated",
+        report.readings.push((id, kind, f64::from_bits(d.u64()?)));
+    }
+    for _ in 0..d.len()? {
+        let id = d.u32()?;
+        let tag = d.u64()?;
+        let payload = d.u64()?;
+        let outcome = outcome_from_wire(tag, payload).ok_or(EcoError::Protocol {
+            what: "unknown capsule outcome tag in fleet checkpoint",
         })?;
-        self.at = end;
-        Ok(slice)
+        report.outcomes.push((id, outcome));
     }
-
-    fn u64(&mut self) -> EcoResult<u64> {
-        let raw = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(raw);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    fn u32(&mut self) -> EcoResult<u32> {
-        u32::try_from(self.u64()?).map_err(|_| EcoError::Protocol {
-            what: "fleet checkpoint u32 field out of range",
-        })
-    }
-
-    /// A `u64` used as an in-memory count/index; bounded by the input
-    /// length so a hostile length prefix cannot drive a huge
-    /// `Vec::with_capacity`.
-    fn len(&mut self) -> EcoResult<usize> {
-        let v = self.u64()?;
-        let n = usize::try_from(v).map_err(|_| EcoError::Protocol {
-            what: "fleet checkpoint length out of range",
-        })?;
-        if n > self.bytes.len() {
-            return Err(EcoError::Protocol {
-                what: "fleet checkpoint length exceeds input",
-            });
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> EcoResult<String> {
-        let n = self.len()?;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| EcoError::Protocol {
-            what: "fleet checkpoint string is not UTF-8",
-        })
-    }
-
-    fn report(&mut self) -> EcoResult<SurveyReport> {
-        let mut report = SurveyReport::default();
-        for _ in 0..self.len()? {
-            report.powered_ids.push(self.u32()?);
-        }
-        for _ in 0..self.len()? {
-            report.inventoried_ids.push(self.u32()?);
-        }
-        for _ in 0..self.len()? {
-            let id = self.u32()?;
-            let kind = sensor_kind_from_tag(self.u64()?).ok_or(EcoError::Protocol {
-                what: "unknown sensor kind tag in fleet checkpoint",
-            })?;
-            report
-                .readings
-                .push((id, kind, f64::from_bits(self.u64()?)));
-        }
-        for _ in 0..self.len()? {
-            let id = self.u32()?;
-            let tag = self.u64()?;
-            let payload = self.u64()?;
-            let outcome = outcome_from_wire(tag, payload).ok_or(EcoError::Protocol {
-                what: "unknown capsule outcome tag in fleet checkpoint",
-            })?;
-            report.outcomes.push((id, outcome));
-        }
-        Ok(report)
-    }
+    Ok(report)
 }
 
 #[cfg(test)]

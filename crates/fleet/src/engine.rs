@@ -149,7 +149,6 @@ impl Fleet {
         let round = self.scheduler.round();
         let surveyed = self
             .pool
-            // lint:allow(no-deprecated-internal-calls) WallSpec::survey is fleet's own entry point, not the core shim
             .par_map(&due, |_, &wall| self.specs[wall].survey());
         for (&wall, outcome) in due.iter().zip(surveyed) {
             let (report, rec) = outcome?;
@@ -297,20 +296,6 @@ fn config_digest(specs: &[WallSpec], budget: &SlotBudget) -> u64 {
     faults::fnv1a64(words)
 }
 
-/// Runs `specs` to completion under `options`.
-///
-/// Deprecated in favour of the builder-family entry point
-/// [`FleetOptions::run`]; this shim delegates there and stays
-/// digest-equivalent.
-#[deprecated(
-    since = "0.9.0",
-    note = "use FleetOptions::run (e.g. options.run(specs))"
-)]
-#[must_use]
-pub fn run_fleet(specs: Vec<WallSpec>, options: &FleetOptions) -> EcoResult<FleetReport> {
-    options.run(specs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,18 +428,5 @@ mod tests {
             .quantum_slots(0)
             .run(bare_specs(1))
             .is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_fleet_shim_is_digest_equivalent() {
-        let options = FleetOptions::new().quantum_slots(3).round_budget_slots(7);
-        let via_shim = run_fleet(live_specs(), &options).unwrap();
-        let via_builder = options.run(live_specs()).unwrap();
-        assert_eq!(via_shim.digest(), via_builder.digest());
-        assert_eq!(
-            via_shim.merged_trace_jsonl(),
-            via_builder.merged_trace_jsonl()
-        );
     }
 }

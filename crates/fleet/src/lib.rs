@@ -41,8 +41,6 @@ mod scheduler;
 mod spec;
 
 pub use checkpoint::FleetCheckpoint;
-#[allow(deprecated)]
-pub use engine::run_fleet;
 pub use engine::{Fleet, FleetOptions};
 pub use report::{FleetReport, WallResult};
 pub use scheduler::{Grant, Scheduler, SlotBudget};

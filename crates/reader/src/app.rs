@@ -30,7 +30,7 @@ static DOWNLINK_WAVES: dsp::batch::WaveMemo = dsp::batch::WaveMemo::new(32);
 /// A session is a *configuration* value, not a connection: its methods
 /// take `&self` and thread all randomness through caller-supplied RNGs.
 /// That makes one session safely shareable across the `exec::Pool`
-/// workers of a parallel survey (`SelfSensingWall::survey_with`), where
+/// workers of a parallel survey (`SurveyOptions::pool`), where
 /// every worker transacts against its own capsule clone with a seed
 /// derived from the capsule id.
 #[derive(Debug, Clone)]

@@ -233,21 +233,25 @@ fn row_status(checks: &[CheckResult], producer_error: Option<&String>) -> Status
     }
 }
 
+/// A producer's metrics, plus the message of a gate that failed while
+/// the metrics were still produced (e.g. a bench `verify`).
+type Produced = (Vec<(String, f64)>, Option<String>);
+
 /// Computes a row's metrics. Everything downstream (judging, digest,
 /// report) only sees the resulting name/value pairs.
-fn produce(row: &Row, cfg: &RunConfig) -> EcoResult<Vec<(String, f64)>> {
+fn produce(row: &Row, cfg: &RunConfig) -> EcoResult<Produced> {
     let profile = cfg.mode.profile();
+    let figure = |tag| {
+        Ok((
+            name_values(&experiments::metrics(tag, profile, &Pool::serial())?),
+            None,
+        ))
+    };
     match row.producer {
-        Producer::Figure => {
-            let pool = Pool::serial();
-            Ok(name_values(&experiments::metrics(row.tag, profile, &pool)?))
-        }
-        Producer::Canary => {
-            let pool = Pool::serial();
-            Ok(name_values(&experiments::metrics("fig13", profile, &pool)?))
-        }
+        Producer::Figure => figure(row.tag),
+        Producer::Canary => figure("fig13"),
         Producer::Bench(kind) => bench_metrics(kind, cfg),
-        Producer::Goldens => golden_metrics(cfg),
+        Producer::Goldens => Ok((golden_metrics(cfg), None)),
     }
 }
 
@@ -258,112 +262,112 @@ fn name_values(metrics: &[Metric]) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Runs one bench producer: module verify + committed-JSON schema gate
-/// (or a rewrite under `--regen`).
-fn bench_metrics(kind: BenchKind, cfg: &RunConfig) -> EcoResult<Vec<(String, f64)>> {
+/// Runs one bench producer at smoke (kick-tires) or full scale: the
+/// module's `run` and `verify`, a schema check of the freshly rendered
+/// JSON, then the committed-JSON schema gate (or a rewrite under
+/// `--regen`). A failed `verify` or schema check zeroes `verify_ok` and
+/// surfaces its message as the row's error.
+fn bench_metrics(kind: BenchKind, cfg: &RunConfig) -> EcoResult<Produced> {
     let smoke = cfg.mode == Mode::KickTires;
     let pool = Pool::max_parallel();
-    let (verify_ok, json) = match kind {
+    let (verified, json) = match kind {
         BenchKind::Sweeps => {
-            let scale = if smoke {
-                bench::sweeps::Scale::smoke()
-            } else {
-                bench::sweeps::Scale::full()
-            };
-            let results = bench::sweeps::run_all(&scale, &pool)?;
-            let ok = !results.is_empty()
-                && results
-                    .iter()
-                    .all(|r| r.checksum_serial == r.checksum_parallel);
-            (ok, bench::sweeps::to_json(&results, &pool, &scale))
+            use bench::sweeps::{run_all, to_json, verify, Scale};
+            let scale = if smoke { Scale::smoke() } else { Scale::full() };
+            let results = run_all(&scale, &pool)?;
+            (verify(&results), to_json(&results, &pool, &scale))
         }
         BenchKind::Faults => {
+            use bench::faults::{run_matrix, to_json, verify, FaultScale};
             let scale = if smoke {
-                bench::faults::FaultScale::smoke()
+                FaultScale::smoke()
             } else {
-                bench::faults::FaultScale::full()
+                FaultScale::full()
             };
-            let matrix = bench::faults::run_matrix(&scale, &pool)?;
-            let ok = bench::faults::verify(&matrix).is_ok();
-            (ok, bench::faults::to_json(&matrix, &pool, &scale))
+            let matrix = run_matrix(&scale, &pool)?;
+            (verify(&matrix), to_json(&matrix, &pool, &scale))
         }
         BenchKind::Obs => {
+            use bench::obs::{run_obs, to_json, verify, ObsScale};
             let scale = if smoke {
-                bench::obs::ObsScale::smoke()
+                ObsScale::smoke()
             } else {
-                bench::obs::ObsScale::full()
+                ObsScale::full()
             };
-            let report = bench::obs::run_obs(&scale, &pool)?;
-            let ok = bench::obs::verify(&report).is_ok();
-            (ok, bench::obs::to_json(&report, &pool, &scale))
+            let report = run_obs(&scale, &pool)?;
+            (verify(&report), to_json(&report, &pool, &scale))
         }
         BenchKind::Fleet => {
+            use bench::fleet::{run_fleet_bench, to_json, verify, FleetScale};
             let scale = if smoke {
-                bench::fleet::FleetScale::smoke()
+                FleetScale::smoke()
             } else {
-                bench::fleet::FleetScale::full()
+                FleetScale::full()
             };
-            let report = bench::fleet::run_fleet_bench(&scale, &pool)?;
-            let ok = bench::fleet::verify(&report).is_ok();
-            (ok, bench::fleet::to_json(&report, &pool, &scale))
+            let report = run_fleet_bench(&scale, &pool)?;
+            (verify(&report), to_json(&report, &pool, &scale))
         }
         BenchKind::Hotpath => {
-            let scale = if smoke {
-                bench::hotpath::Scale::smoke()
-            } else {
-                bench::hotpath::Scale::full()
-            };
-            let results = bench::hotpath::run_all(&scale)?;
-            let ok = !results.is_empty()
-                && results
-                    .iter()
-                    .all(|r| r.checksum_serial == r.checksum_batched);
-            (ok, bench::hotpath::to_json(&results, &scale))
+            use bench::hotpath::{run_all, to_json, verify, Scale};
+            let scale = if smoke { Scale::smoke() } else { Scale::full() };
+            let results = run_all(&scale)?;
+            (verify(&results), to_json(&results, &scale))
         }
         BenchKind::Campaign => {
+            use bench::campaign::{run_campaign_bench, to_json, verify, CampaignScale};
             let scale = if smoke {
-                bench::campaign::CampaignScale::smoke()
+                CampaignScale::smoke()
             } else {
-                bench::campaign::CampaignScale::full()
+                CampaignScale::full()
             };
-            let report = bench::campaign::run_campaign_bench(&scale, &pool)?;
-            let ok = bench::campaign::verify(&report).is_ok();
-            (ok, bench::campaign::to_json(&report, &pool, &scale))
+            let report = run_campaign_bench(&scale, &pool)?;
+            (verify(&report), to_json(&report, &pool, &scale))
         }
         BenchKind::Serve => {
+            use bench::serve::{run_serve_bench, to_json, verify, ServeScale};
             let scale = if smoke {
-                bench::serve::ServeScale::smoke()
+                ServeScale::smoke()
             } else {
-                bench::serve::ServeScale::full()
+                ServeScale::full()
             };
-            let report = bench::serve::run_serve_bench(&scale, &pool)?;
-            let ok = bench::serve::verify(&report).is_ok();
-            (ok, bench::serve::to_json(&report, &pool, &scale))
+            let report = run_serve_bench(&scale, &pool)?;
+            (verify(&report), to_json(&report, &pool, &scale))
         }
     };
 
+    let has_schema = |text: &str| {
+        crate::json::parse(text).is_ok_and(|doc| {
+            doc.get("schema").and_then(crate::json::Value::as_str) == Some(kind.schema())
+        })
+    };
+    let error = match verified {
+        Err(e) => Some(e.to_string()),
+        Ok(()) if !has_schema(&json) => Some(format!(
+            "rendered {} is not valid {} JSON",
+            kind.json_file(),
+            kind.schema()
+        )),
+        Ok(()) => None,
+    };
     let path = cfg.dir.join(kind.json_file());
     let committed_ok = if cfg.regen {
         std::fs::write(&path, &json).is_ok()
     } else {
-        std::fs::read_to_string(&path).is_ok_and(|text| {
-            crate::json::parse(&text).is_ok_and(|doc| {
-                doc.get("schema").and_then(crate::json::Value::as_str) == Some(kind.schema())
-            })
-        })
+        std::fs::read_to_string(&path).is_ok_and(|text| has_schema(&text))
     };
-    Ok(vec![
-        ("verify_ok".into(), f64::from(u8::from(verify_ok))),
+    let metrics = vec![
+        ("verify_ok".into(), f64::from(u8::from(error.is_none()))),
         (
             "committed_json_ok".into(),
             f64::from(u8::from(committed_ok)),
         ),
-    ])
+    ];
+    Ok((metrics, error))
 }
 
 /// Runs the golden-fixture sweep: recompute-and-compare, or
 /// recompute-and-rewrite under `--regen`.
-fn golden_metrics(cfg: &RunConfig) -> EcoResult<Vec<(String, f64)>> {
+fn golden_metrics(cfg: &RunConfig) -> Vec<(String, f64)> {
     let dir = crate::goldens::fixture_dir(&cfg.dir);
     let mut metrics = Vec::new();
     for fixture in crate::goldens::FIXTURES {
@@ -374,15 +378,12 @@ fn golden_metrics(cfg: &RunConfig) -> EcoResult<Vec<(String, f64)>> {
         };
         metrics.push((fixture.ok_metric().to_string(), f64::from(u8::from(ok))));
     }
-    Ok(metrics)
+    metrics
 }
 
 fn run_row(row: &Row, cfg: &RunConfig) -> RowResult {
     let started = Instant::now();
-    let (metrics, error) = match produce(row, cfg) {
-        Ok(m) => (m, None),
-        Err(e) => (Vec::new(), Some(e.to_string())),
-    };
+    let (metrics, error) = produce(row, cfg).unwrap_or_else(|e| (Vec::new(), Some(e.to_string())));
     let checks = judge(&row.checks, &metrics, cfg.mode);
     let status = row_status(&checks, error.as_ref());
     RowResult {

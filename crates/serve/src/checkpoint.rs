@@ -25,19 +25,21 @@
 //! The embedded ECOFLEET bytes are the in-flight cycle's
 //! [`fleet::FleetCheckpoint`], so a daemon killed mid-cycle resumes the
 //! partly-run fleet at the exact round boundary it left — the restart
-//! differential proves query answers stay byte-identical. Decoding
-//! follows the ECOFLEET/ECOCAMPN discipline: checksum first, every
-//! length bounded by the bytes present, trailing bytes rejected.
+//! differential proves query answers stay byte-identical. Encoding and
+//! decoding go through the shared [`faults::codec`], like ECOFLEET and
+//! ECOCAMPN: checksum first, every length bounded by the bytes
+//! remaining, trailing bytes rejected.
 
 use campaign::{CampaignGrader, WallGrader};
 use dsp::{EcoError, EcoResult};
+use faults::codec::{checked_body, put_checksum, put_str, put_u64, put_words, Dec};
 use fleet::{Fleet, FleetCheckpoint, WallSpec};
 use obs::Histogram;
 
 use crate::engine::{cycle_specs, ServeEngine};
 use crate::options::{config_digest, ServeOptions};
 use crate::store::{FeatureRow, StoreSnapshot};
-use crate::wire::{byte_checksum, put_str, put_u64, Dec};
+use crate::wire::{put_row, row};
 
 const MAGIC: &[u8; 8] = b"ECOSERVE";
 const VERSION: u64 = 1;
@@ -120,24 +122,16 @@ impl ServeCheckpoint {
         put_u64(&mut out, self.walls.len() as u64);
         for wall in &self.walls {
             put_str(&mut out, &wall.name);
-            put_u64(&mut out, wall.grader_words.len() as u64);
-            for w in &wall.grader_words {
-                put_u64(&mut out, *w);
-            }
+            put_words(&mut out, &wall.grader_words);
             put_u64(&mut out, wall.rows.len() as u64);
             for row in &wall.rows {
-                for w in row.encode_words() {
-                    put_u64(&mut out, w);
-                }
+                put_row(&mut out, row);
             }
         }
         put_u64(&mut out, self.histograms.len() as u64);
         for (name, words) in &self.histograms {
             put_str(&mut out, name);
-            put_u64(&mut out, words.len() as u64);
-            for w in words {
-                put_u64(&mut out, *w);
-            }
+            put_words(&mut out, words);
         }
         match &self.fleet {
             None => put_u64(&mut out, 0),
@@ -147,8 +141,7 @@ impl ServeCheckpoint {
                 out.extend_from_slice(bytes);
             }
         }
-        let checksum = byte_checksum(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        put_checksum(&mut out);
         out
     }
 
@@ -157,28 +150,12 @@ impl ServeCheckpoint {
     /// panic or an over-allocation.
     #[must_use]
     pub fn from_bytes(bytes: &[u8]) -> EcoResult<ServeCheckpoint> {
-        if bytes.len() < MAGIC.len() + 8 + 8 {
-            return Err(EcoError::Protocol {
-                what: "serve checkpoint truncated",
-            });
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let mut sumbuf = [0u8; 8];
-        sumbuf.copy_from_slice(trailer);
-        if u64::from_le_bytes(sumbuf) != byte_checksum(body) {
-            return Err(EcoError::Protocol {
-                what: "serve checkpoint checksum mismatch",
-            });
-        }
-        if &body[..MAGIC.len()] != MAGIC {
+        let mut d = Dec::new(checked_body(bytes)?);
+        if d.take(MAGIC.len())? != MAGIC {
             return Err(EcoError::Protocol {
                 what: "serve checkpoint magic mismatch",
             });
         }
-        let mut d = Dec {
-            bytes: &body[MAGIC.len()..],
-            at: 0,
-        };
         if d.u64()? != VERSION {
             return Err(EcoError::Protocol {
                 what: "unsupported serve checkpoint version",
@@ -190,15 +167,11 @@ impl ServeCheckpoint {
         let mut walls = Vec::with_capacity(wall_count);
         for _ in 0..wall_count {
             let name = d.string()?;
-            let grader_count = d.len()?;
-            let mut grader_words = Vec::with_capacity(grader_count);
-            for _ in 0..grader_count {
-                grader_words.push(d.u64()?);
-            }
+            let grader_words = d.words()?;
             let row_count = d.len()?;
             let mut rows = Vec::with_capacity(row_count);
             for _ in 0..row_count {
-                rows.push(d.row()?);
+                rows.push(row(&mut d)?);
             }
             walls.push(WallState {
                 name,
@@ -210,12 +183,7 @@ impl ServeCheckpoint {
         let mut histograms = Vec::with_capacity(hist_count);
         for _ in 0..hist_count {
             let name = d.string()?;
-            let word_count = d.len()?;
-            let mut words = Vec::with_capacity(word_count);
-            for _ in 0..word_count {
-                words.push(d.u64()?);
-            }
-            histograms.push((name, words));
+            histograms.push((name, d.words()?));
         }
         let fleet = match d.u64()? {
             0 => None,

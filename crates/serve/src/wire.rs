@@ -12,8 +12,8 @@
 //!
 //! Payloads are sequences of little-endian `u64` words (strings travel
 //! as a byte length followed by raw UTF-8, floats as `f64::to_bits`),
-//! decoded by the same bounds-checked discipline as the ECOFLEET /
-//! ECOCAMPN checkpoints: every length is checked against the bytes
+//! decoded by the shared [`faults::codec`] decoder the ECOFLEET /
+//! ECOCAMPN checkpoints use: every length is checked against the bytes
 //! actually present before any allocation, every tag must round-trip,
 //! and trailing bytes are rejected — hostile input can only ever
 //! produce an [`EcoError`], never a panic or an over-allocation
@@ -26,6 +26,8 @@
 //! restarts and worker counts.
 
 use dsp::{EcoError, EcoResult};
+use faults::codec::{checked_body, put_checksum, put_str, put_u64, put_words, Dec};
+use faults::fnv1a64_bytes;
 use std::io::{Read, Write};
 
 use campaign::{health_from_tag, health_tag};
@@ -181,10 +183,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// and trailing bytes.
 #[must_use]
 pub fn decode_request(payload: &[u8]) -> EcoResult<Request> {
-    let mut d = Dec {
-        bytes: payload,
-        at: 0,
-    };
+    let mut d = Dec::new(payload);
     let req = match d.u64()? {
         TAG_LATEST_HEALTH => Request::LatestHealth { wall: d.string()? },
         TAG_FEATURE_SERIES => Request::FeatureSeries {
@@ -238,10 +237,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::HistogramWords { name, words } => {
             put_u64(&mut out, RESP_HISTOGRAM);
             put_str(&mut out, name);
-            put_u64(&mut out, words.len() as u64);
-            for w in words {
-                put_u64(&mut out, *w);
-            }
+            put_words(&mut out, words);
         }
         Response::Summary { cycles_done, walls } => {
             put_u64(&mut out, RESP_SUMMARY);
@@ -268,32 +264,25 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// trailing bytes.
 #[must_use]
 pub fn decode_response(payload: &[u8]) -> EcoResult<Response> {
-    let mut d = Dec {
-        bytes: payload,
-        at: 0,
-    };
+    let mut d = Dec::new(payload);
     let resp = match d.u64()? {
         RESP_ERROR => Response::Error { what: d.string()? },
         RESP_HEALTH => Response::Health {
             wall: d.string()?,
-            row: d.row()?,
+            row: row(&mut d)?,
         },
         RESP_SERIES => {
             let wall = d.string()?;
             let n = d.len()?;
             let mut rows = Vec::with_capacity(n.min(MAX_FRAME_BYTES as usize / ROW_WORDS / 8));
             for _ in 0..n {
-                rows.push(d.row()?);
+                rows.push(row(&mut d)?);
             }
             Response::Series { wall, rows }
         }
         RESP_HISTOGRAM => {
             let name = d.string()?;
-            let n = d.len()?;
-            let mut words = Vec::with_capacity(n.min(MAX_FRAME_BYTES as usize / 8));
-            for _ in 0..n {
-                words.push(d.u64()?);
-            }
+            let words = d.words()?;
             Response::HistogramWords { name, words }
         }
         RESP_SUMMARY => {
@@ -335,10 +324,22 @@ pub fn decode_response(payload: &[u8]) -> EcoResult<Response> {
 /// `u64` words of one wire row.
 const ROW_WORDS: usize = 11;
 
-fn put_row(out: &mut Vec<u8>, row: &FeatureRow) {
+pub(crate) fn put_row(out: &mut Vec<u8>, row: &FeatureRow) {
     for w in row.encode_words() {
         put_u64(out, w);
     }
+}
+
+/// One [`ROW_WORDS`]-word row, validated by [`FeatureRow::decode_words`].
+#[must_use]
+pub(crate) fn row(d: &mut Dec<'_>) -> EcoResult<FeatureRow> {
+    let mut words = [0u64; ROW_WORDS];
+    for w in &mut words {
+        *w = d.u64()?;
+    }
+    FeatureRow::decode_words(&words).ok_or(EcoError::Protocol {
+        what: "malformed feature row on the wire",
+    })
 }
 
 /// Builds a complete frame around `payload`: header, payload, checksum.
@@ -356,22 +357,13 @@ pub fn frame_bytes(payload: &[u8]) -> EcoResult<Vec<u8>> {
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
-    let checksum = byte_checksum(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    put_checksum(&mut out);
     Ok(out)
 }
 
-/// Parses a complete frame from a byte slice and returns its payload.
-/// Rejects a bad magic/version, a length that disagrees with the bytes
-/// present, a failed checksum, and trailing bytes.
-#[must_use]
-pub fn unframe_bytes(frame: &[u8]) -> EcoResult<Vec<u8>> {
-    if frame.len() < 12 + 8 {
-        return Err(EcoError::Protocol {
-            what: "wire frame truncated",
-        });
-    }
-    let (header, rest) = frame.split_at(12);
+/// Validates a frame header — magic, version, and a length within
+/// [`MAX_FRAME_BYTES`] — and returns the payload length it announces.
+fn header_len(header: &[u8; 12]) -> EcoResult<usize> {
     if &header[0..4] != WIRE_MAGIC {
         return Err(EcoError::Protocol {
             what: "wire magic mismatch",
@@ -391,21 +383,29 @@ pub fn unframe_bytes(frame: &[u8]) -> EcoResult<Vec<u8>> {
             what: "wire length exceeds the frame cap",
         });
     }
-    let len = len as usize;
-    if rest.len() != len + 8 {
+    Ok(len as usize)
+}
+
+/// Parses a complete frame from a byte slice and returns its payload.
+/// Rejects a bad magic/version, a length that disagrees with the bytes
+/// present, a failed checksum, and trailing bytes.
+#[must_use]
+pub fn unframe_bytes(frame: &[u8]) -> EcoResult<Vec<u8>> {
+    let header = match frame.first_chunk::<12>() {
+        Some(header) if frame.len() >= 12 + 8 => header,
+        _ => {
+            return Err(EcoError::Protocol {
+                what: "wire frame truncated",
+            })
+        }
+    };
+    let len = header_len(header)?;
+    if frame.len() != 12 + len + 8 {
         return Err(EcoError::Protocol {
             what: "wire length disagrees with the frame",
         });
     }
-    let (payload, trailer) = rest.split_at(len);
-    let mut u64buf = [0u8; 8];
-    u64buf.copy_from_slice(trailer);
-    if u64::from_le_bytes(u64buf) != byte_checksum(&frame[..12 + len]) {
-        return Err(EcoError::Protocol {
-            what: "wire checksum mismatch",
-        });
-    }
-    Ok(payload.to_vec())
+    Ok(checked_body(frame)?[12..].to_vec())
 }
 
 /// Writes one frame to a stream.
@@ -427,35 +427,11 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> EcoResult<()> {
 pub fn read_frame<R: Read>(r: &mut R) -> EcoResult<Vec<u8>> {
     let mut header = [0u8; 12];
     read_exact(r, &mut header)?;
-    if &header[0..4] != WIRE_MAGIC {
-        return Err(EcoError::Protocol {
-            what: "wire magic mismatch",
-        });
-    }
-    let mut u32buf = [0u8; 4];
-    u32buf.copy_from_slice(&header[4..8]);
-    if u32::from_le_bytes(u32buf) != WIRE_VERSION {
-        return Err(EcoError::Protocol {
-            what: "unsupported wire version",
-        });
-    }
-    u32buf.copy_from_slice(&header[8..12]);
-    let len = u32::from_le_bytes(u32buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(EcoError::Protocol {
-            what: "wire length exceeds the frame cap",
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; header_len(&header)?];
     read_exact(r, &mut payload)?;
     let mut trailer = [0u8; 8];
     read_exact(r, &mut trailer)?;
-    let mut sum = 0xcbf2_9ce4_8422_2325u64;
-    for &b in header.iter().chain(payload.iter()) {
-        sum ^= u64::from(b);
-        sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    if u64::from_le_bytes(trailer) != sum {
+    if u64::from_le_bytes(trailer) != fnv1a64_bytes(header.iter().chain(&payload)) {
         return Err(EcoError::Protocol {
             what: "wire checksum mismatch",
         });
@@ -467,103 +443,6 @@ fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> EcoResult<()> {
     r.read_exact(buf).map_err(|_| EcoError::Protocol {
         what: "wire frame truncated",
     })
-}
-
-/// FNV-1a over raw bytes — the same fold the ECOCAMPN checkpoint uses
-/// for its trailing checksum.
-pub(crate) fn byte_checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked little-endian decoder over a byte slice — the same
-/// discipline as the ECOFLEET checkpoint decoder: every length is
-/// validated against the bytes present before use.
-pub(crate) struct Dec<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) at: usize,
-}
-
-impl Dec<'_> {
-    #[must_use]
-    pub(crate) fn take(&mut self, n: usize) -> EcoResult<&[u8]> {
-        let end = self.at.checked_add(n).ok_or(EcoError::Protocol {
-            what: "wire length overflow",
-        })?;
-        let slice = self.bytes.get(self.at..end).ok_or(EcoError::Protocol {
-            what: "wire payload truncated",
-        })?;
-        self.at = end;
-        Ok(slice)
-    }
-
-    #[must_use]
-    pub(crate) fn u64(&mut self) -> EcoResult<u64> {
-        let raw = self.take(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(raw);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// A `u64` used as a count/length; bounded by the input size so a
-    /// hostile prefix cannot drive a huge allocation.
-    #[must_use]
-    pub(crate) fn len(&mut self) -> EcoResult<usize> {
-        let v = self.u64()?;
-        let n = usize::try_from(v).map_err(|_| EcoError::Protocol {
-            what: "wire length out of range",
-        })?;
-        if n > self.bytes.len() {
-            return Err(EcoError::Protocol {
-                what: "wire length exceeds payload",
-            });
-        }
-        Ok(n)
-    }
-
-    #[must_use]
-    pub(crate) fn string(&mut self) -> EcoResult<String> {
-        let n = self.len()?;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| EcoError::Protocol {
-            what: "wire string is not UTF-8",
-        })
-    }
-
-    #[must_use]
-    pub(crate) fn row(&mut self) -> EcoResult<FeatureRow> {
-        let mut words = [0u64; ROW_WORDS];
-        for w in &mut words {
-            *w = self.u64()?;
-        }
-        FeatureRow::decode_words(&words).ok_or(EcoError::Protocol {
-            what: "malformed feature row on the wire",
-        })
-    }
-
-    /// Rejects trailing bytes once a payload has fully decoded.
-    #[must_use]
-    pub(crate) fn finish(&self) -> EcoResult<()> {
-        if self.at != self.bytes.len() {
-            return Err(EcoError::Protocol {
-                what: "trailing bytes after wire payload",
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -86,15 +86,6 @@ pub struct LintConfig {
     /// by `no-lock-in-hotpath`: code the sweep worker pool runs
     /// concurrently, where an unjustified mutex serialises the fleet.
     pub lock_hot_paths: Vec<String>,
-    /// Method names of deprecated in-repo shims flagged by
-    /// `no-deprecated-internal-calls` when invoked as `.name(` anywhere
-    /// in first-party code (binaries included; test regions exempt).
-    pub deprecated_calls: Vec<String>,
-    /// Free-function names of deprecated in-repo shims flagged by
-    /// `no-deprecated-internal-calls` when invoked as `name(` — bare or
-    /// path-qualified — anywhere in first-party code (definitions and
-    /// re-exports excluded; test regions exempt).
-    pub deprecated_free_calls: Vec<String>,
     /// Path prefixes (relative to the workspace root, `/` separators)
     /// where wall-clock reads are legitimate: bench harnesses and timing
     /// shims that *measure* wall time. Everywhere else
@@ -147,17 +138,6 @@ impl Default for LintConfig {
                 "serve/src/engine.rs".to_string(),
                 "serve/src/store.rs".to_string(),
             ],
-            // The pre-SurveyOptions survey entry points, kept only as
-            // #[deprecated] shims for out-of-tree callers.
-            deprecated_calls: vec![
-                "survey".to_string(),
-                "survey_with".to_string(),
-                "survey_under".to_string(),
-            ],
-            // The pre-builder fleet/campaign entry points, likewise kept
-            // only as #[deprecated] shims; in-repo code goes through
-            // FleetOptions::run / CampaignOptions::run.
-            deprecated_free_calls: vec!["run_fleet".to_string(), "run_campaign".to_string()],
             // The bench harness and the vendored criterion shim exist to
             // measure wall time; everything else runs on the slot clock.
             wallclock_allowed: vec![
@@ -354,8 +334,8 @@ fn load_files(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<SourceFile>>
         }
     }
     // Workspace examples are first-party code too — linted as binaries
-    // so the deprecated-shim rule catches them (the directory is absent
-    // in the fixture corpora, hence the guard). Same for the workspace
+    // (the directory is absent from most fixture corpora, hence the
+    // guard). Same for the workspace
     // integration-test crate at `tests/`.
     let examples_dir = root.join("examples");
     if examples_dir.is_dir() {
@@ -460,12 +440,6 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<Find
         rules::rng_discipline(&f.lexed.tokens, &facts.task_regions, &mut raw);
         if f.class != FileClass::Test {
             rules::unit_suffix_discipline(&f.lexed.tokens, &mut raw);
-            rules::no_deprecated_internal_calls(
-                &f.lexed.tokens,
-                &cfg.deprecated_calls,
-                &cfg.deprecated_free_calls,
-                &mut raw,
-            );
         }
         if f.is_lib_root {
             rules::deny_unsafe(&f.lexed.tokens, &mut raw);

@@ -21,8 +21,6 @@ pub const RULE_DENY_UNSAFE: &str = "deny-unsafe";
 pub const RULE_MUST_USE: &str = "must-use-results";
 /// Lock acquisition in designated compute hot paths rule name.
 pub const RULE_NO_LOCK: &str = "no-lock-in-hotpath";
-/// Deprecated-shim call rule name.
-pub const RULE_NO_DEPRECATED: &str = "no-deprecated-internal-calls";
 /// RNG seed-discipline rule name (task closures and ambient entropy).
 pub const RULE_RNG_DISCIPLINE: &str = "rng-discipline";
 /// HashMap/HashSet iteration on digest/trace-feeding paths rule name.
@@ -44,7 +42,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_DENY_UNSAFE,
     RULE_MUST_USE,
     RULE_NO_LOCK,
-    RULE_NO_DEPRECATED,
     RULE_RNG_DISCIPLINE,
     RULE_NO_HASH_ITER,
     RULE_NO_WALLCLOCK,
@@ -101,13 +98,6 @@ pub const RULE_METAS: &[RuleMeta] = &[
         summary: "no mutex .lock() in designated compute hot-path files without a \
                   reasoned lint:allow",
         scope: "lock hot-path files per config",
-    },
-    RuleMeta {
-        name: RULE_NO_DEPRECATED,
-        summary: "no calls to deprecated in-repo shims — method shims \
-                  (.survey/.survey_with/.survey_under) or free-fn shims \
-                  (run_fleet/run_campaign); build the matching options and call run()",
-        scope: "all first-party code, examples included",
     },
     RuleMeta {
         name: RULE_RNG_DISCIPLINE,
@@ -300,61 +290,6 @@ pub fn no_lock_in_hotpath(tokens: &[Tok], is_lock_hot: bool, findings: &mut Vec<
     }
 }
 
-/// Rule 7: no calls to deprecated in-repo shims anywhere in first-party
-/// code, binaries included. Two shapes are covered: deprecated *methods*
-/// invoked as `.survey(`/`.survey_with(`/`.survey_under(`, and
-/// deprecated *free functions* invoked as `run_fleet(`/`run_campaign(`
-/// (bare or path-qualified). The shims exist only so out-of-tree
-/// callers get a deprecation warning instead of a breakage; in-repo
-/// code must go through the options-builder family
-/// (`SurveyOptions`/`FleetOptions`/`CampaignOptions`/`ServeOptions` and
-/// their `run`). Test regions are exempt (the shim-equivalence tests
-/// deliberately call the shims).
-pub fn no_deprecated_internal_calls(
-    tokens: &[Tok],
-    deprecated: &[String],
-    deprecated_free: &[String],
-    findings: &mut Vec<Finding>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || !tokens.get(i + 1).map(|n| n.is_op("(")).unwrap_or(false) {
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|p| tokens.get(p));
-        let after_dot = prev.map(|p| p.is_op(".")).unwrap_or(false);
-        if after_dot && deprecated.iter().any(|d| d == &t.text) {
-            push(
-                findings,
-                RULE_NO_DEPRECATED,
-                t.line,
-                format!(
-                    ".{}() is a deprecated shim; build a SurveyOptions and call \
-                     run() / run_survey() instead",
-                    t.text
-                ),
-            );
-        }
-        // A free (or path-qualified) call to a deprecated free-fn shim.
-        // `fn run_fleet(` is the shim's own definition, `.run_fleet(`
-        // would be some unrelated method — neither is a call site.
-        let is_definition = prev
-            .map(|p| p.kind == TokKind::Ident && p.text == "fn")
-            .unwrap_or(false);
-        if !after_dot && !is_definition && deprecated_free.iter().any(|d| d == &t.text) {
-            push(
-                findings,
-                RULE_NO_DEPRECATED,
-                t.line,
-                format!(
-                    "{}() is a deprecated shim; build the matching options and call \
-                     its run() instead",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 pub(crate) fn is_keyword(s: &str) -> bool {
     matches!(
         s,
@@ -397,7 +332,7 @@ fn is_rng_ident(name: &str) -> bool {
     name == "rng" || name.ends_with("_rng") || name.starts_with("rng_")
 }
 
-/// Rule 8: RNG discipline across task boundaries.
+/// Rule 7: RNG discipline across task boundaries.
 ///
 /// A parallel survey is only reproducible when every pool task draws
 /// from its own stream seeded via `exec::seed::derive` — one shared RNG
@@ -531,7 +466,7 @@ const HASH_ITER_METHODS: &[&str] = &[
     "into_values",
 ];
 
-/// Rule 9: no HashMap/HashSet iteration on a digest/trace-feeding path.
+/// Rule 8: no HashMap/HashSet iteration on a digest/trace-feeding path.
 ///
 /// `is_hash_use` says whether an identifier at a token index refers to
 /// a hash-typed binding visible there, and `reaches_sink` whether a
@@ -615,7 +550,7 @@ pub fn no_nondeterministic_iteration(
     }
 }
 
-/// Rule 10: no wall-clock reads in deterministic code.
+/// Rule 9: no wall-clock reads in deterministic code.
 ///
 /// Every guarantee in the repo — bit-identical traces, seed-paired
 /// benches, resume digests — is stated over the slot clock.
@@ -1203,51 +1138,6 @@ mod tests {
         let src = "fn f() { let g = lock(&m); let unlocked = 1; deadlock(); }";
         let hot = run(src, |t, out| no_lock_in_hotpath(t, true, out));
         assert!(hot.is_empty(), "{hot:?}");
-    }
-
-    #[test]
-    fn deprecated_shim_call_fires() {
-        let deprecated = vec!["survey".to_string(), "survey_under".to_string()];
-        let lexed = lex("fn f() { let r = wall.survey(200.0); }");
-        let mut out = Vec::new();
-        no_deprecated_internal_calls(&lexed.tokens, &deprecated, &[], &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].msg.contains("SurveyOptions"));
-    }
-
-    #[test]
-    fn definitions_and_lookalikes_do_not_trip_the_deprecated_rule() {
-        let deprecated = vec!["survey".to_string()];
-        // A definition, a free fn, a different method, and a field access.
-        let lexed = lex(
-            "fn survey(v: f64) {} fn g() { survey(1.0); c.survey_at(2); \
-             let s = self.survey; }",
-        );
-        let mut out = Vec::new();
-        no_deprecated_internal_calls(&lexed.tokens, &deprecated, &[], &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn deprecated_free_fn_call_fires_bare_and_path_qualified() {
-        let free = vec!["run_fleet".to_string()];
-        let lexed = lex("fn f() { let a = run_fleet(s, &o); let b = fleet::run_fleet(s, &o); }");
-        let mut out = Vec::new();
-        no_deprecated_internal_calls(&lexed.tokens, &[], &free, &mut out);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out[0].msg.contains("run()"));
-    }
-
-    #[test]
-    fn free_fn_definitions_and_reexports_do_not_trip_the_deprecated_rule() {
-        let free = vec!["run_fleet".to_string()];
-        // The shim's own definition, a re-export, a lookalike method,
-        // and a bare mention without a call.
-        let lexed = lex("pub fn run_fleet(s: S) {} pub use engine::run_fleet; \
-             fn g() { c.run_fleet(1); let f = run_fleet; }");
-        let mut out = Vec::new();
-        no_deprecated_internal_calls(&lexed.tokens, &[], &free, &mut out);
-        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -26,15 +26,3 @@ pub fn unitless() -> f64 {
 pub fn mixes(a_hz: f64, b_khz: f64) -> f64 {
     a_hz + b_khz
 }
-
-pub struct Wall;
-
-impl Wall {
-    pub fn survey(&self, _v: f64) -> u32 {
-        0
-    }
-}
-
-pub fn calls_deprecated_shim(w: &Wall) -> u32 {
-    w.survey(200.0)
-}

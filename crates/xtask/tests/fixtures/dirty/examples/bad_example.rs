@@ -1,8 +1,7 @@
-//! Example still calling a deprecated survey shim — the lint must see
+//! Example with an unsuffixed physical quantity — the lint must see
 //! workspace examples, not just `crates/*/src`.
 
 fn main() {
-    let mut wall = hotlib::wall();
-    let report = wall.survey(200.0);
-    println!("{report:?}");
+    let carrier_freq = 2.0e6;
+    println!("{carrier_freq:?}");
 }

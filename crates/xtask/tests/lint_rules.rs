@@ -17,12 +17,6 @@ fn hot_cfg() -> LintConfig {
     LintConfig {
         hot_paths: vec!["hotlib/src/lib.rs".to_string()],
         lock_hot_paths: vec!["hotlib/src/lib.rs".to_string()],
-        deprecated_calls: vec![
-            "survey".to_string(),
-            "survey_with".to_string(),
-            "survey_under".to_string(),
-        ],
-        deprecated_free_calls: vec!["run_fleet".to_string(), "run_campaign".to_string()],
         wallclock_allowed: vec![],
     }
 }
@@ -63,8 +57,6 @@ fn hot_path_indexing_requires_configuration() {
     let cold = LintConfig {
         hot_paths: vec![],
         lock_hot_paths: vec![],
-        deprecated_calls: vec![],
-        deprecated_free_calls: vec![],
         wallclock_allowed: vec![],
     };
     let findings = lint_workspace(&fixture("dirty"), &cold).unwrap();
@@ -338,14 +330,13 @@ fn rule_metas_cover_every_rule() {
 }
 
 #[test]
-fn workspace_examples_are_scanned_for_deprecated_calls() {
+fn workspace_examples_are_linted_as_binaries() {
     let findings = lint_workspace(&fixture("dirty"), &hot_cfg()).unwrap();
     let hit = findings
         .iter()
-        .find(|f| f.rule == rules::RULE_NO_DEPRECATED && f.file.contains("examples/"))
-        .expect("deprecated-call finding inside examples/");
+        .find(|f| f.rule == rules::RULE_UNIT_SUFFIX && f.file.contains("examples/"))
+        .expect("unit-suffix finding inside examples/");
     assert!(hit.file.ends_with("examples/bad_example.rs"), "{hit:?}");
-    assert!(hit.msg.contains("survey"), "{hit:?}");
     // Examples are binary-class: the `println!`/shape rules that only
     // apply to library code must stay quiet there.
     assert!(

@@ -122,3 +122,16 @@ fn garbage_prefixes_and_empty_input_error_cleanly() {
     hostile.extend_from_slice(&[0xFF; 64]);
     assert!(CampaignCheckpoint::from_bytes(&hostile).is_err());
 }
+
+/// The exact ECOCAMPN bytes of the mid-campaign checkpoint, pinned by
+/// length and FNV-1a: any change to the encoding — field order, widths,
+/// length prefixes, the trailing checksum — moves the digest.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let bytes = mid_campaign_checkpoint().to_bytes();
+    assert_eq!(
+        (bytes.len(), faults::fnv1a64_bytes(&bytes)),
+        (1008, 0xa9c0_d601_e2d2_d4f0),
+        "ECOCAMPN encoding changed"
+    );
+}

@@ -218,3 +218,16 @@ fn ecoserve_garbage_prefixes_and_config_mismatch_error_cleanly() {
     fewer.pop();
     assert!(cp.resume(fewer, options()).is_err(), "wrong walls accepted");
 }
+
+/// The exact ECOSERVE bytes of a finished two-wall service, pinned by
+/// length and FNV-1a: any change to the container encoding moves the
+/// digest.
+#[test]
+fn ecoserve_bytes_are_pinned() {
+    let bytes = finished_checkpoint_bytes();
+    assert_eq!(
+        (bytes.len(), faults::fnv1a64_bytes(&bytes)),
+        (1177, 0xc70e_0806_b0fd_e51f),
+        "ECOSERVE encoding changed"
+    );
+}

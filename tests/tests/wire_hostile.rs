@@ -243,3 +243,44 @@ fn garbage_prefixes_and_empty_input_error_cleanly() {
     padded.extend_from_slice(&[0u8; 4]);
     assert!(decode_request(&padded).is_err());
 }
+
+/// One complete ECSV frame per request verb and per response shape,
+/// pinned by FNV-1a over the exact frame bytes (header, payload,
+/// trailer): any change to the framing or a payload encoding moves a
+/// digest.
+#[test]
+fn frame_bytes_are_pinned_per_verb() {
+    let digest = |payload: Vec<u8>| faults::fnv1a64_bytes(&frame_bytes(&payload).expect("frame"));
+    let requests: Vec<u64> = all_requests()
+        .iter()
+        .map(|req| digest(encode_request(req)))
+        .collect();
+    assert_eq!(
+        requests,
+        [
+            0x3158_bc57_8509_a024,
+            0xaa08_2224_0adb_0068,
+            0xdbfc_a403_fdeb_3568,
+            0x2be0_f826_82db_f060,
+            0x6152_8c09_5724_d636,
+            0xbf4c_ec53_c9ae_5a14,
+        ],
+        "ECSV request encoding changed"
+    );
+    let responses: Vec<u64> = all_responses()
+        .iter()
+        .map(|resp| digest(encode_response(resp)))
+        .collect();
+    assert_eq!(
+        responses,
+        [
+            0xa2e6_7acd_8da5_67b8,
+            0x79c8_1e62_28e8_70d4,
+            0x04f8_70ed_26df_d0a0,
+            0x70a5_0ff2_c7ad_9c45,
+            0xeabb_56a6_fc99_8f8e,
+            0xbdee_856a_2c30_0f6c,
+        ],
+        "ECSV response encoding changed"
+    );
+}
